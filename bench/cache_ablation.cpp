@@ -15,8 +15,8 @@
 ///      must show strictly lower H2D bytes and lower p99 than the uncached
 ///      baseline; LRU and FIFO eviction are compared.
 ///
-/// Deterministic; diffed against docs/expected/bench_cache_ablation.txt in
-/// CI like the serving bench.
+/// Deterministic; the golden.bench_cache_ablation ctest diffs the output
+/// against docs/expected/bench_cache_ablation.txt.
 
 #include <functional>
 #include <iostream>

@@ -18,13 +18,13 @@
 ///            fixed placement.
 ///
 /// The text summary diffs against docs/expected/bench_fusion_dispatch.txt
-/// in CI (scripts/check_fusion.sh); BENCH_fusion_dispatch.json carries the
-/// trajectory for scripts/compare_bench.py plus the two acceptance checks.
-///
-/// Smoke scale by default; set DGNN_FUSION_REQUESTS to sweep a heavier
-/// stream and DGNN_BENCH_JSON_PATH to redirect the JSON artifact.
+/// and BENCH_fusion_dispatch.json is gated by scripts/compare_bench.py (the
+/// golden.bench_fusion_dispatch ctest). The bench exits 1, naming the
+/// failed claim on stderr, unless some launch-bound cell cuts launch
+/// overhead >= 2x and hybrid sustains >= every static placement in every
+/// serving cell.
 
-#include <cstdlib>
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -49,23 +49,8 @@ constexpr int64_t kServeBatch = 64;
 constexpr sim::SimTime kBatchTimeoutUs = 3000.0;
 constexpr int64_t kNumNeighbors = 10;
 
-int64_t
-RequestCount()
-{
-    if (const char* env = std::getenv("DGNN_FUSION_REQUESTS")) {
-        return std::max<int64_t>(1, std::atoll(env));
-    }
-    return 512;
-}
-
-std::string
-JsonPath()
-{
-    if (const char* env = std::getenv("DGNN_BENCH_JSON_PATH")) {
-        return env;
-    }
-    return "BENCH_fusion_dispatch.json";
-}
+constexpr int64_t kRequests = 512;
+constexpr double kMinLaunchReduction = 2.0;  // on the best launch-bound cell
 
 data::InteractionSpec
 FusionDatasetSpec()
@@ -105,7 +90,8 @@ PrintCatalog()
     std::cout << table.ToString();
 }
 
-void
+/// Returns the best launch-overhead reduction over every cell.
+double
 LaunchAblation(const std::vector<models::DgnnModel*>& model_list,
                core::BenchJsonWriter& json)
 {
@@ -120,6 +106,7 @@ LaunchAblation(const std::vector<models::DgnnModel*>& model_list,
 
     core::TableWriter table({"model", "batch", "launches", "fused launches",
                              "launch+submit us", "fused us", "reduction"});
+    double best_reduction = 0.0;
     for (models::DgnnModel* model : model_list) {
         serve::ModelSession session(*model, sim::ExecMode::kHybrid,
                                     kNumNeighbors);
@@ -134,6 +121,7 @@ LaunchAblation(const std::vector<models::DgnnModel*>& model_list,
             const double fused_us =
                 static_cast<double>(fused_launches) * per_launch_us;
             const double reduction = unfused_us / fused_us;
+            best_reduction = std::max(best_reduction, reduction);
 
             table.AddRow({model->Name(), std::to_string(batch),
                           std::to_string(launches),
@@ -154,6 +142,7 @@ LaunchAblation(const std::vector<models::DgnnModel*>& model_list,
         }
     }
     std::cout << table.ToString();
+    return best_reduction;
 }
 
 std::string
@@ -169,9 +158,11 @@ PlacementMix(const serve::ServingReport& report)
     return mix;  // cpu/gpu/gpu-fused
 }
 
-void
+/// Returns the number of serving cells where hybrid sustains less than some
+/// static placement; each one is named on stderr.
+int64_t
 ServingSweep(const std::vector<models::DgnnModel*>& model_list,
-             const data::InteractionDataset& dataset, int64_t n,
+             const data::InteractionDataset& dataset,
              core::BenchJsonWriter& json)
 {
     constexpr double kRates[] = {2000.0, 8000.0, 32000.0};
@@ -182,6 +173,7 @@ ServingSweep(const std::vector<models::DgnnModel*>& model_list,
         dispatch::DispatchMode::kHybrid,
     };
 
+    int64_t hybrid_losses = 0;
     for (models::DgnnModel* model : model_list) {
         bench::Banner(
             "Hybrid dispatch serving sweep: " + model->Name() +
@@ -198,8 +190,9 @@ ServingSweep(const std::vector<models::DgnnModel*>& model_list,
             s.poisson_qps = rate;
             s.poisson_seed = kSeed;
             const std::vector<serve::Request> requests =
-                scenario::GenerateRequests(s, dataset, n);
+                scenario::GenerateRequests(s, dataset, kRequests);
 
+            double best_static_qps = 0.0;
             for (const dispatch::DispatchMode mode : kModes) {
                 dispatch::DispatcherConfig config;
                 config.mode = mode;
@@ -212,6 +205,16 @@ ServingSweep(const std::vector<models::DgnnModel*>& model_list,
 
                 const serve::ServingReport report =
                     serve::ServeRequests(session, policy, requests, options);
+                if (mode != dispatch::DispatchMode::kHybrid) {
+                    best_static_qps =
+                        std::max(best_static_qps, report.achieved_qps);
+                } else if (report.achieved_qps < best_static_qps) {
+                    ++hybrid_losses;
+                    std::cerr << "hybrid (" << report.achieved_qps
+                              << " qps) loses to a static placement ("
+                              << best_static_qps << " qps): "
+                              << model->Name() << " at " << rate << " qps\n";
+                }
 
                 table.AddRow(
                     {core::TableWriter::Num(rate, 0),
@@ -237,6 +240,7 @@ ServingSweep(const std::vector<models::DgnnModel*>& model_list,
         }
         std::cout << table.ToString();
     }
+    return hybrid_losses;
 }
 
 }  // namespace
@@ -247,13 +251,13 @@ main()
 {
     using namespace dgnn;
 
-    const int64_t n = RequestCount();
     std::cout << "DGNN fusion + hybrid dispatch (simulated Xeon Gold 6226R "
                  "vs RTX A6000)\n"
               << "Registered-chain kernel fusion + per-batch "
                  "predict-then-place; "
-              << n << " requests per serving cell, timeout(" << kServeBatch
-              << "," << static_cast<int64_t>(kBatchTimeoutUs) / 1000
+              << kRequests << " requests per serving cell, timeout("
+              << kServeBatch << ","
+              << static_cast<int64_t>(kBatchTimeoutUs) / 1000
               << "ms) batching, seed " << kSeed << "\n";
 
     const auto dataset = data::GenerateInteractions(FusionDatasetSpec());
@@ -265,11 +269,18 @@ main()
 
     core::BenchJsonWriter json("fusion_dispatch");
     PrintCatalog();
-    LaunchAblation(model_list, json);
-    ServingSweep(model_list, dataset, n, json);
+    const double best_reduction = LaunchAblation(model_list, json);
+    const int64_t hybrid_losses = ServingSweep(model_list, dataset, json);
 
-    json.WriteFile(JsonPath());
+    json.WriteFile("BENCH_fusion_dispatch.json");
     std::cout << "\njson: BENCH_fusion_dispatch.json (" << json.RecordCount()
               << " records)\n";
-    return 0;
+
+    const bool launch_cut_ok = best_reduction >= kMinLaunchReduction;
+    if (!launch_cut_ok) {
+        std::cerr << "no launch-bound cell reaches a " << kMinLaunchReduction
+                  << "x launch-overhead reduction (best " << best_reduction
+                  << "x)\n";
+    }
+    return launch_cut_ok && hybrid_losses == 0 ? 0 : 1;
 }

@@ -13,14 +13,12 @@
 ///     Every mutation must be detected with its expected hazard kind — the
 ///     checker's own regression fixture.
 ///
-/// The text summary diffs against docs/expected/bench_hazard_audit.txt in
-/// CI (scripts/check_hazard.sh); BENCH_hazard_audit.json carries the same
-/// verdicts machine-readably (the artifact the TSan CI job uploads).
-///
-/// Smoke scale by default; set DGNN_HAZARD_REQUESTS to audit a heavier
-/// stream and DGNN_BENCH_JSON_PATH to redirect the JSON artifact.
+/// The text summary diffs against docs/expected/bench_hazard_audit.txt
+/// (the golden.bench_hazard_audit ctest, also run under TSan in CI), and
+/// the bench exits 1 unless every serving cell is clean and every mutation
+/// is detected. BENCH_hazard_audit.json carries the same verdicts
+/// machine-readably.
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -42,24 +40,7 @@ constexpr uint64_t kSeed = 1009;
 constexpr double kBaseQps = 20000.0;
 constexpr int64_t kServeBatch = 64;
 constexpr sim::SimTime kBatchTimeoutUs = 5000.0;
-
-int64_t
-RequestCount()
-{
-    if (const char* env = std::getenv("DGNN_HAZARD_REQUESTS")) {
-        return std::max<int64_t>(1, std::atoll(env));
-    }
-    return 512;
-}
-
-std::string
-JsonPath()
-{
-    if (const char* env = std::getenv("DGNN_BENCH_JSON_PATH")) {
-        return env;
-    }
-    return "BENCH_hazard_audit.json";
-}
+constexpr int64_t kRequests = 512;
 
 data::InteractionSpec
 AuditDatasetSpec()
@@ -196,7 +177,7 @@ main()
 {
     using namespace dgnn;
 
-    const int64_t n = RequestCount();
+    const int64_t n = kRequests;
     std::cout << "DGNN hazard audit (simulated Xeon Gold 6226R + RTX A6000)\n"
               << "Vector-clock happens-before check; " << n
               << " requests per cell, base rate "
@@ -228,7 +209,7 @@ main()
                       : "HAZARD GATE FAILED — investigate")
               << "\n";
 
-    json.WriteFile(JsonPath());
+    json.WriteFile("BENCH_hazard_audit.json");
     std::cout << "json: BENCH_hazard_audit.json (" << json.RecordCount()
               << " records)\n";
     return dirty_cells == 0 && mutation_misses == 0 ? 0 : 1;

@@ -23,14 +23,11 @@
 /// one run's registry. Two deterministic outputs: this text summary
 /// (diffed against docs/expected/bench_serving_observability.txt) and
 /// BENCH_serving_observability.json (gated by scripts/compare_bench.py
-/// against the committed baseline).
-///
-/// Set DGNN_OBS_REQUESTS to sweep a heavier stream and
-/// DGNN_BENCH_JSON_PATH to redirect the JSON artifact.
+/// against the committed baseline); the golden.bench_serving_observability
+/// ctest checks both.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <set>
 #include <string>
@@ -53,24 +50,7 @@ constexpr double kBaseQps = 2500.0;
 constexpr int64_t kServeBatch = 8;
 constexpr sim::SimTime kBatchTimeoutUs = 200.0;
 constexpr sim::SimTime kWindowUs = 25000.0;
-
-int64_t
-RequestCount()
-{
-    if (const char* env = std::getenv("DGNN_OBS_REQUESTS")) {
-        return std::max<int64_t>(1, std::atoll(env));
-    }
-    return 1024;
-}
-
-std::string
-JsonPath()
-{
-    if (const char* env = std::getenv("DGNN_BENCH_JSON_PATH")) {
-        return env;
-    }
-    return "BENCH_serving_observability.json";
-}
+constexpr int64_t kRequests = 1024;
 
 /// The gauntlet's stream with feature-heavy attributed edges: at dim 320
 /// TGAT's per-batch neighbor-feature gather reaches PCIe-relevant volume
@@ -347,7 +327,7 @@ main()
 {
     using namespace dgnn;
 
-    const int64_t n = RequestCount();
+    const int64_t n = kRequests;
     std::cout << "DGNN serving observability (simulated Xeon Gold 6226R + "
                  "RTX A6000)\n"
               << "Online span tracing + bottleneck attribution; " << n
@@ -380,7 +360,7 @@ main()
 
     VerdictSection(cells);
 
-    json.WriteFile(JsonPath());
+    json.WriteFile("BENCH_serving_observability.json");
     std::cout << "\njson: BENCH_serving_observability.json ("
               << json.RecordCount() << " records)\n";
     return 0;

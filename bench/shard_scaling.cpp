@@ -13,14 +13,10 @@
 /// unsharded serving path bit-for-bit — the scale-out seam's identity
 /// contract.
 ///
-/// The text summary diffs against docs/expected/bench_shard_scaling.txt in
-/// CI (scripts/check_shard.sh); BENCH_shard_scaling.json carries the
-/// trajectory for scripts/compare_bench.py.
-///
-/// Smoke scale by default; set DGNN_SHARD_REQUESTS to sweep a heavier
-/// stream and DGNN_BENCH_JSON_PATH to redirect the JSON artifact.
+/// The golden.bench_shard_scaling ctest diffs the text summary against
+/// docs/expected/bench_shard_scaling.txt and gates BENCH_shard_scaling.json
+/// with scripts/compare_bench.py.
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -42,24 +38,7 @@ constexpr double kBaseQps = 240000.0;
 constexpr int64_t kServeBatch = 64;
 constexpr sim::SimTime kBatchTimeoutUs = 5000.0;
 constexpr uint64_t kPartitionSeed = 7;
-
-int64_t
-RequestCount()
-{
-    if (const char* env = std::getenv("DGNN_SHARD_REQUESTS")) {
-        return std::max<int64_t>(1, std::atoll(env));
-    }
-    return 512;
-}
-
-std::string
-JsonPath()
-{
-    if (const char* env = std::getenv("DGNN_BENCH_JSON_PATH")) {
-        return env;
-    }
-    return "BENCH_shard_scaling.json";
-}
+constexpr int64_t kRequests = 512;
 
 data::InteractionSpec
 ShardDatasetSpec()
@@ -171,7 +150,7 @@ main()
 {
     using namespace dgnn;
 
-    const int64_t n = RequestCount();
+    const int64_t n = kRequests;
     std::cout << "DGNN shard scaling (simulated Xeon Gold 6226R + RTX A6000 "
                  "per shard)\n"
               << "One trace served at scale-out; " << n
@@ -190,7 +169,7 @@ main()
     SweepModel("TGN", tgn, dataset, requests, json);
     SweepModel("TGAT", tgat, dataset, requests, json);
 
-    json.WriteFile(JsonPath());
+    json.WriteFile("BENCH_shard_scaling.json");
     std::cout << "\njson: BENCH_shard_scaling.json (" << json.RecordCount()
               << " records)\n";
     return 0;

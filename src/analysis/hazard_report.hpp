@@ -4,10 +4,10 @@
 /// Hazard-report types for the happens-before checker (hazard_checker.hpp):
 /// the hazard classification (RAW/WAR/WAW), the two access sites of each
 /// conflict, the suggested missing synchronization edge, and a deterministic
-/// text / JSON rendering of the whole report. The report is the artifact the
-/// `hazard` CTest label and the TSan CI job gate on: a clean run renders a
-/// stable summary block, a dirty run lists every deduplicated hazard with
-/// enough context to place the missing edge.
+/// text / JSON rendering of the whole report. The report is the artifact
+/// analysis_test and the golden.bench_hazard_audit ctest gate on: a clean
+/// run renders a stable summary block, a dirty run lists every
+/// deduplicated hazard with enough context to place the missing edge.
 
 #include <cstdint>
 #include <string>

@@ -21,7 +21,6 @@
 /// alltoall exchange volume the serving bench measures.
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -61,11 +60,6 @@ class PartitionBook {
     /// 1.0 = perfectly balanced; 2.0 = the worst shard carries twice its
     /// fair share (and its cache is half as effective per node).
     [[nodiscard]] double BalanceFactor() const;
-
-    /// Deterministic text round-trip ("shards k\nnodes n\n" + one
-    /// assignment per line).
-    [[nodiscard]] std::string Serialize() const;
-    [[nodiscard]] static PartitionBook Deserialize(const std::string& text);
 
     bool operator==(const PartitionBook& other) const
     {

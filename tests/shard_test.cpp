@@ -105,15 +105,6 @@ TEST(TopologyTest, OneDeviceTopologyRuntimeIsBitIdentical)
 
 // ----------------------------------------------------------- partition book
 
-TEST(PartitionBookTest, SerializeRoundTrips)
-{
-    const PartitionBook book = HashPartition(257, 4, /*seed=*/7);
-    const PartitionBook copy = PartitionBook::Deserialize(book.Serialize());
-    EXPECT_TRUE(book == copy);
-    EXPECT_EQ(copy.NumShards(), 4);
-    EXPECT_EQ(copy.NumNodes(), 257);
-}
-
 TEST(PartitionBookTest, SameSeedIsBitIdentical)
 {
     EXPECT_TRUE(HashPartition(1000, 4, 42) == HashPartition(1000, 4, 42));
